@@ -4,11 +4,18 @@ Two clients with matching vocabularies:
 
 * :class:`HTTPPolicyClient` — a blocking client for the real REST frontend
   (:mod:`repro.policy.rest`), used by deployments and the REST tests.
+  Each method returns what the operation's ``reply`` picks out of the
+  response document (the advice list, a state string, or the document).
 * :class:`InProcessPolicyClient` — the client used *inside simulations*:
   it calls the service directly but charges a configurable service-call
   latency on the simulation clock (the paper notes that consulting an
   external service "incurs overheads for the service calls").  Its methods
-  are DES process generators, invoked with ``yield from``.
+  are DES process generators, invoked with ``yield from``, and return
+  exactly what the service method returns.
+
+Both clients have one method per operation of
+:data:`~repro.policy.operations.OPERATIONS`, with the service method's
+signature.
 
 Both clients share one resilience vocabulary: bounded retries with
 exponential backoff and jitter (:class:`RetryPolicy`) and a
@@ -20,6 +27,7 @@ to policy-free staging rather than wedging the workflow.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import threading
@@ -27,10 +35,11 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
+from urllib.parse import quote
 
 from repro.des.core import Environment
-from repro.policy.model import CleanupAdvice, TransferAdvice
+from repro.policy.operations import OPERATIONS, Operation, install, listed, signature
 from repro.policy.service import PolicyService
 
 __all__ = [
@@ -234,139 +243,24 @@ class HTTPPolicyClient:
             f"policy service unreachable at {self.base_url}: {last_error}"
         ) from last_error
 
-    def _post(self, path: str, payload: dict) -> dict:
-        data = json.dumps(payload).encode()
+    def _request(self, method: str, path: str, payload=None, text: bool = False):
+        data = None if payload is None else json.dumps(payload).encode()
 
-        def request_fn() -> dict:
+        def request_fn():
+            headers = {"X-Repro-Request-Id": self._next_request_id()}
+            if data is not None:
+                headers["Content-Type"] = "application/json"
             request = urllib.request.Request(
-                f"{self.base_url}{path}",
-                data=data,
-                headers={
-                    "Content-Type": "application/json",
-                    "X-Repro-Request-Id": self._next_request_id(),
-                },
-                method="POST",
+                f"{self.base_url}{path}", data=data, headers=headers, method=method
             )
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
+                body = response.read()
+            return body.decode() if text else json.loads(body)
 
         return self._call(request_fn)
 
-    def _get(self, path: str) -> dict:
-        def request_fn() -> dict:
-            request = urllib.request.Request(
-                f"{self.base_url}{path}",
-                headers={"X-Repro-Request-Id": self._next_request_id()},
-            )
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-
-        return self._call(request_fn)
-
-    # -- API ----------------------------------------------------------------
-    def submit_transfers(self, workflow: str, job: str, transfers: list[dict]) -> list[TransferAdvice]:
-        doc = self._post(
-            "/policy/transfers",
-            {"workflow": workflow, "job": job, "transfers": transfers},
-        )
-        return [TransferAdvice.from_dict(a) for a in doc["advice"]]
-
-    def complete_transfers(self, done: Iterable[int] = (), failed: Iterable[int] = ()) -> dict:
-        return self._post(
-            "/policy/transfers/complete", {"done": list(done), "failed": list(failed)}
-        )
-
-    def submit_cleanups(self, workflow: str, job: str, files: list[tuple[str, str]]) -> list[CleanupAdvice]:
-        doc = self._post(
-            "/policy/cleanups",
-            {
-                "workflow": workflow,
-                "job": job,
-                "files": [{"lfn": lfn, "url": url} for lfn, url in files],
-            },
-        )
-        return [CleanupAdvice.from_dict(a) for a in doc["advice"]]
-
-    def complete_cleanups(self, ids: Iterable[int]) -> dict:
-        return self._post("/policy/cleanups/complete", {"ids": list(ids)})
-
-    def staging_state(self, lfn: str, url: str) -> str:
-        return self._post("/policy/staging", {"lfn": lfn, "url": url})["state"]
-
-    def transfer_state(self, tid: int) -> str:
-        return self._get(f"/policy/transfers/{tid}")["state"]
-
-    def register_priorities(self, workflow: str, priorities: dict) -> dict:
-        return self._post(
-            "/policy/priorities", {"workflow": workflow, "priorities": priorities}
-        )
-
-    def unregister_workflow(self, workflow: str) -> dict:
-        return self._post("/policy/workflows/unregister", {"workflow": workflow})
-
-    def reconcile_staged(self, workflow: str, files: Iterable[tuple]) -> dict:
-        docs = []
-        for lfn, url, *rest in files:
-            doc = {"lfn": lfn, "url": url}
-            if rest:
-                doc["nbytes"] = rest[0]
-            docs.append(doc)
-        return self._post(
-            "/policy/staged/reconcile", {"workflow": workflow, "files": docs}
-        )
-
-    def deny_host(self, host: str, direction: str = "any", reason: str = "") -> dict:
-        return self._post(
-            "/policy/denials", {"host": host, "direction": direction, "reason": reason}
-        )
-
-    def allow_host(self, host: str) -> dict:
-        return self._post("/policy/denials/remove", {"host": host})
-
-    def set_quota(self, workflow: str, max_bytes: float) -> dict:
-        return self._post(
-            "/policy/quotas", {"workflow": workflow, "max_bytes": max_bytes}
-        )
-
-    def register_tenant(self, tenant: str, **spec) -> dict:
-        """``spec``: weight, priority_class, max_bytes, max_streams,
-        max_concurrent (all optional)."""
-        return self._post("/policy/tenants", {"tenant": tenant, **spec})
-
-    def unregister_tenant(self, tenant: str) -> dict:
-        return self._post("/policy/tenants/remove", {"tenant": tenant})
-
-    def bind_workflow(self, workflow: str, tenant: str) -> dict:
-        return self._post(
-            "/policy/tenants/bind", {"workflow": workflow, "tenant": tenant}
-        )
-
-    def tenants(self) -> list[dict]:
-        return self._get("/policy/tenants")["tenants"]
-
-    def catalog_census(self) -> dict:
-        return self._get("/policy/catalog")
-
-    def catalog_replicas(self, lfn: str) -> list[dict]:
-        from urllib.parse import quote
-
-        return self._get(f"/policy/catalog/replicas/{quote(lfn, safe='')}")[
-            "replicas"
-        ]
-
-    def set_site_capacity(self, site: str, capacity_bytes) -> dict:
-        return self._post(
-            "/policy/catalog/sites",
-            {"site": site, "capacity_bytes": capacity_bytes},
-        )
-
-    def catalog_pin(self, url: str, pinned: bool = True) -> dict:
-        return self._post(
-            "/policy/catalog/pins", {"url": url, "pinned": pinned}
-        )
-
-    def status(self) -> dict:
-        return self._get("/policy/status")
+    if TYPE_CHECKING:  # the operation methods are installed below
+        def __getattr__(self, name: str) -> Any: ...
 
 
 class InProcessPolicyClient:
@@ -455,131 +349,53 @@ class InProcessPolicyClient:
             f"policy service unreachable ({name}): {last_error}"
         ) from last_error
 
-    def submit_transfers(self, workflow: str, job: str, transfers: list[dict]):
-        return (
-            yield from self._invoke(
-                "submit_transfers",
-                lambda: self.service.submit_transfers(workflow, job, transfers),
-            )
+    if TYPE_CHECKING:  # the operation methods are installed below
+        def __getattr__(self, name: str) -> Any: ...
+
+
+def _http_method(op: Operation, sig: inspect.Signature):
+    """``HTTPPolicyClient`` stub: bind, encode, request, pick the reply."""
+    prefix = op.prefix
+
+    def method(self: HTTPPolicyClient, *args: Any, **kwargs: Any) -> Any:
+        arguments = sig.bind(*args, **kwargs).arguments
+        if op.method == "POST":
+            path, payload = op.path, op.encode(arguments)
+        elif prefix:
+            (value,) = arguments.values()
+            path, payload = prefix + quote(str(value), safe=""), None
+        else:
+            path, payload = op.path, None
+        try:
+            doc = self._request(op.method, path, payload, op.text)
+        except urllib.error.HTTPError as exc:
+            if exc.code != 404 or not op.missing:
+                raise
+            exc.close()
+            return None
+        return op.reply(doc)
+
+    return method
+
+
+def _sim_method(op: Operation):
+    """``InProcessPolicyClient`` stub: a DES generator around the service
+    call.  Batch arguments are materialised at call time, before the
+    simulated latency elapses."""
+    name, service_method = op.name, op.service
+
+    def method(self: InProcessPolicyClient, *args: Any, **kwargs: Any):
+        call_args = [listed(value) for value in args]
+        call_kwargs = {key: listed(value) for key, value in kwargs.items()}
+        return self._invoke(
+            name,
+            lambda: getattr(self.service, service_method)(*call_args, **call_kwargs),
         )
 
-    def complete_transfers(self, done=(), failed=()):
-        done, failed = list(done), list(failed)
-        return (
-            yield from self._invoke(
-                "complete_transfers",
-                lambda: self.service.complete_transfers(done=done, failed=failed),
-            )
-        )
+    return method
 
-    def submit_cleanups(self, workflow: str, job: str, files):
-        files = list(files)
-        return (
-            yield from self._invoke(
-                "submit_cleanups",
-                lambda: self.service.submit_cleanups(workflow, job, files),
-            )
-        )
 
-    def complete_cleanups(self, ids):
-        ids = list(ids)
-        return (
-            yield from self._invoke(
-                "complete_cleanups", lambda: self.service.complete_cleanups(ids)
-            )
-        )
-
-    def staging_state(self, lfn: str, url: str):
-        return (
-            yield from self._invoke(
-                "staging_state", lambda: self.service.staging_state(lfn, url)
-            )
-        )
-
-    def transfer_state(self, tid: int):
-        return (
-            yield from self._invoke(
-                "transfer_state", lambda: self.service.transfer_state(tid)
-            )
-        )
-
-    def register_priorities(self, workflow: str, priorities: dict):
-        return (
-            yield from self._invoke(
-                "register_priorities",
-                lambda: self.service.register_priorities(workflow, priorities),
-            )
-        )
-
-    def unregister_workflow(self, workflow: str, retain_staged: bool = False):
-        return (
-            yield from self._invoke(
-                "unregister_workflow",
-                lambda: self.service.unregister_workflow(
-                    workflow, retain_staged=retain_staged
-                ),
-            )
-        )
-
-    def reconcile_staged(self, workflow: str, files):
-        files = list(files)
-        return (
-            yield from self._invoke(
-                "reconcile_staged",
-                lambda: self.service.reconcile_staged(workflow, files),
-            )
-        )
-
-    def register_tenant(self, tenant: str, **spec):
-        return (
-            yield from self._invoke(
-                "register_tenant",
-                lambda: self.service.register_tenant(tenant, **spec),
-            )
-        )
-
-    def unregister_tenant(self, tenant: str):
-        return (
-            yield from self._invoke(
-                "unregister_tenant", lambda: self.service.unregister_tenant(tenant)
-            )
-        )
-
-    def bind_workflow(self, workflow: str, tenant: str):
-        return (
-            yield from self._invoke(
-                "bind_workflow", lambda: self.service.bind_workflow(workflow, tenant)
-            )
-        )
-
-    def tenants(self):
-        return (yield from self._invoke("tenants", lambda: self.service.tenants()))
-
-    def catalog_census(self):
-        return (
-            yield from self._invoke(
-                "catalog_census", lambda: self.service.catalog_census()
-            )
-        )
-
-    def catalog_replicas(self, lfn: str):
-        return (
-            yield from self._invoke(
-                "catalog_replicas", lambda: self.service.catalog_replicas(lfn)
-            )
-        )
-
-    def set_site_capacity(self, site: str, capacity_bytes):
-        return (
-            yield from self._invoke(
-                "set_site_capacity",
-                lambda: self.service.set_site_capacity(site, capacity_bytes),
-            )
-        )
-
-    def catalog_pin(self, url: str, pinned: bool = True):
-        return (
-            yield from self._invoke(
-                "catalog_pin", lambda: self.service.catalog_pin(url, pinned)
-            )
-        )
+for _op in OPERATIONS:
+    _sig = signature(_op)
+    install(HTTPPolicyClient, _op, _http_method(_op, _sig), _sig)
+    install(InProcessPolicyClient, _op, _sim_method(_op), _sig)

@@ -4,32 +4,9 @@ The paper deploys the service in an Apache Tomcat container behind a
 RESTful interface exchanging XML/JSON.  We serve JSON over HTTP on
 localhost with the Python standard library (no network access needed).
 
-Endpoints
----------
-==========  ===================================  ===========================
-POST        /policy/transfers                    submit transfer batch
-POST        /policy/transfers/complete           report done/failed ids
-GET         /policy/transfers/<tid>              one transfer's state
-GET         /policy/explain/<tid>                decision-provenance record
-POST        /policy/staging                      staged-state of (lfn, url)
-POST        /policy/cleanups                     submit cleanup batch
-POST        /policy/cleanups/complete            report finished cleanups
-POST        /policy/staged/reconcile             adopt degraded-mode staging
-POST        /policy/priorities                   register job priorities
-POST        /policy/workflows/unregister         drop a workflow's interest
-POST        /policy/denials                      ban a host (access control)
-POST        /policy/denials/remove               lift a host ban
-POST        /policy/quotas                       set a workflow's byte quota
-POST        /policy/tenants                      register/replace a tenant
-POST        /policy/tenants/remove               unregister a tenant
-POST        /policy/tenants/bind                 bind a workflow to a tenant
-GET         /policy/tenants                      tenant census + ledgers
-GET         /policy/catalog                      staged-data catalog census
-GET         /policy/catalog/replicas/<lfn>       one dataset's replicas
-POST        /policy/catalog/sites                set/lift a site byte budget
-POST        /policy/catalog/pins                 pin/unpin a replica by url
-GET         /policy/status                       service snapshot
-==========  ===================================  ===========================
+The routes, their payloads and their responses are declared once in
+:mod:`repro.policy.operations` (its docstring holds the endpoint table);
+this module is transport only.
 
 Malformed payloads return 400 with ``{"error": ...}``; unknown paths 404;
 bodies that stall past ``read_timeout`` mid-read 408 (connection closed);
@@ -60,10 +37,10 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
-from urllib.parse import unquote
 
 from repro.obs.tracer import as_tracer
-from repro.policy.controller import PolicyController, PolicyRequestError
+from repro.policy.controller import PolicyController
+from repro.policy.operations import PolicyRequestError, respond, route
 from repro.policy.service import PolicyService
 
 __all__ = ["PolicyRestServer"]
@@ -79,6 +56,17 @@ class _RequestTooLarge(Exception):
 
 class _BodyReadTimeout(Exception):
     """Body bytes stalled past ``read_timeout`` (maps to HTTP 408)."""
+
+
+def _decode_json(raw: bytes) -> dict:
+    """A request body as the JSON object every POST payload must be."""
+    try:
+        doc = json.loads(raw or b"{}")
+    except json.JSONDecodeError as exc:
+        raise PolicyRequestError(f"invalid JSON body: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PolicyRequestError("request body must be a JSON object")
+    return doc
 
 
 class _PolicyHTTPServer(ThreadingHTTPServer):
@@ -108,11 +96,6 @@ def _make_handler(controller: PolicyController, lock: threading.Lock, server_sta
         def _reply(self, code: int, doc: dict) -> None:
             self._send(code, json.dumps(doc).encode(), "application/json")
 
-        def _reply_text(self, code: int, text: str) -> None:
-            self._send(
-                code, text.encode(), "text/plain; version=0.0.4; charset=utf-8"
-            )
-
         def _send(self, code: int, body: bytes, content_type: str) -> None:
             self._status = code
             # Finalize the access-log entry and span before any response
@@ -130,21 +113,8 @@ def _make_handler(controller: PolicyController, lock: threading.Lock, server_sta
             self.wfile.write(body)
 
         def _read_json(self) -> dict:
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-            except (TypeError, ValueError) as exc:
-                raise PolicyRequestError(
-                    "Content-Length header must be an integer"
-                ) from exc
-            if length < 0:
-                raise PolicyRequestError("Content-Length header must be >= 0")
-            if length > server_state.max_request_bytes:
-                # Refuse before reading: the declared size alone disqualifies
-                # the request, so the body bytes never enter memory.
-                raise _RequestTooLarge(
-                    f"request body of {length} bytes exceeds the "
-                    f"{server_state.max_request_bytes}-byte limit"
-                )
+            length = server_state.body_length(self.headers.get("Content-Length", 0))
+            raw = b""
             if length:
                 # Tighten the socket timeout for the body read: a client
                 # that sent a complete head must deliver the body it
@@ -161,15 +131,7 @@ def _make_handler(controller: PolicyController, lock: threading.Lock, server_sta
                 finally:
                     if server_state.read_timeout is not None:
                         self.connection.settimeout(server_state.idle_timeout)
-            else:
-                raw = b"{}"
-            try:
-                doc = json.loads(raw or b"{}")
-            except json.JSONDecodeError as exc:
-                raise PolicyRequestError(f"invalid JSON body: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise PolicyRequestError("request body must be a JSON object")
-            return doc
+            return _decode_json(raw)
 
         def _handle(self, work) -> None:
             rid = self.headers.get("X-Repro-Request-Id") or server_state.next_request_id()
@@ -230,78 +192,25 @@ def _make_handler(controller: PolicyController, lock: threading.Lock, server_sta
             })
             server_state.tracer.end(self._span, status=self._status)
 
-        def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+        def _serve(self) -> None:
             def work():
-                with lock:
-                    if self.path == "/policy/status":
-                        self._reply(200, controller.status())
-                    elif self.path == "/policy/metrics":
-                        self._reply_text(200, controller.metrics_text())
-                    elif self.path == "/policy/tenants":
-                        self._reply(200, controller.tenants())
-                    elif self.path == "/policy/catalog":
-                        self._reply(200, controller.catalog())
-                    elif self.path.startswith("/policy/catalog/replicas/"):
-                        lfn = unquote(self.path.rsplit("/", 1)[-1])
-                        self._reply(200, controller.catalog_replicas(lfn))
-                    elif self.path.startswith("/policy/transfers/"):
-                        tid_text = self.path.rsplit("/", 1)[-1]
-                        if not tid_text.isdigit():
-                            raise PolicyRequestError("transfer id must be an integer")
-                        self._reply(200, controller.transfer_state(int(tid_text)))
-                    elif self.path.startswith("/policy/explain/"):
-                        tid_text = self.path.rsplit("/", 1)[-1]
-                        if not tid_text.isdigit():
-                            raise PolicyRequestError("transfer id must be an integer")
-                        record = controller.explain(int(tid_text))
-                        if record is None:
-                            self._reply(404, {
-                                "error": f"no decision record for transfer {tid_text}",
-                                "request_id": self._request_id,
-                            })
-                        else:
-                            self._reply(200, record)
-                    else:
-                        self._reply(404, {
-                            "error": f"no such endpoint {self.path!r}",
-                            "request_id": self._request_id,
-                        })
-
-            self._handle(work)
-
-        def do_POST(self) -> None:  # noqa: N802
-            routes = {
-                "/policy/transfers": controller.submit_transfers,
-                "/policy/transfers/complete": controller.complete_transfers,
-                "/policy/staging": controller.staging_state,
-                "/policy/cleanups": controller.submit_cleanups,
-                "/policy/cleanups/complete": controller.complete_cleanups,
-                "/policy/staged/reconcile": controller.reconcile_staged,
-                "/policy/priorities": controller.register_priorities,
-                "/policy/workflows/unregister": controller.unregister_workflow,
-                "/policy/denials": controller.deny_host,
-                "/policy/denials/remove": controller.allow_host,
-                "/policy/quotas": controller.set_quota,
-                "/policy/tenants": controller.register_tenant,
-                "/policy/tenants/remove": controller.unregister_tenant,
-                "/policy/tenants/bind": controller.bind_workflow,
-                "/policy/catalog/sites": controller.set_site_capacity,
-                "/policy/catalog/pins": controller.catalog_pin,
-            }
-            handler = routes.get(self.path)
-
-            def work():
-                if handler is None:
+                found = route(self.command, self.path)
+                if found is None:
                     self._reply(404, {
                         "error": f"no such endpoint {self.path!r}",
                         "request_id": self._request_id,
                     })
                     return
-                payload = self._read_json()
+                op, request = found
+                if op.method == "POST":
+                    request = (self._read_json(),)
                 with lock:
-                    self._reply(200, handler(payload))
+                    result = getattr(controller, op.name)(*request)
+                    self._send(*respond(op, result, self.path, self._request_id))
 
             self._handle(work)
+
+        do_GET = do_POST = _serve
 
     return Handler
 
@@ -317,6 +226,12 @@ class _ServerState:
         idle_timeout: Optional[float] = 60.0,
         read_timeout: Optional[float] = 10.0,
     ):
+        if max_request_bytes < 1:
+            raise ValueError("max_request_bytes must be >= 1")
+        if idle_timeout is not None and idle_timeout <= 0:
+            raise ValueError("idle_timeout must be > 0 (or None to disable)")
+        if read_timeout is not None and read_timeout <= 0:
+            raise ValueError("read_timeout must be > 0 (or None to disable)")
         self.max_request_bytes = int(max_request_bytes)
         self.tracer = as_tracer(tracer)
         self.idle_timeout = idle_timeout
@@ -334,6 +249,22 @@ class _ServerState:
         with self._lock:
             self._request_seq += 1
             return f"req-{self._request_seq}"
+
+    def body_length(self, header) -> int:
+        """The declared body size.  An oversized one is refused before any
+        body byte is read: the declared size alone disqualifies it."""
+        try:
+            length = int(header)
+        except (TypeError, ValueError) as exc:
+            raise PolicyRequestError("Content-Length header must be an integer") from exc
+        if length < 0:
+            raise PolicyRequestError("Content-Length header must be >= 0")
+        if length > self.max_request_bytes:
+            raise _RequestTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{self.max_request_bytes}-byte limit"
+            )
+        return length
 
     def log_request(self, entry: dict) -> None:
         with self._lock:
@@ -399,14 +330,8 @@ class PolicyRestServer:
         idle_timeout: Optional[float] = 60.0,
         read_timeout: Optional[float] = 10.0,
     ):
-        if max_request_bytes < 1:
-            raise ValueError("max_request_bytes must be >= 1")
         if drain_timeout < 0:
             raise ValueError("drain_timeout must be >= 0")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError("idle_timeout must be > 0 (or None to disable)")
-        if read_timeout is not None and read_timeout <= 0:
-            raise ValueError("read_timeout must be > 0 (or None to disable)")
         self.service = service
         self.controller = PolicyController(service)
         self.drain_timeout = drain_timeout

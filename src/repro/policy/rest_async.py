@@ -1,9 +1,10 @@
 """Asyncio REST frontend of the Policy Service.
 
-Same HTTP surface as :mod:`repro.policy.rest` (one route table, same
-request-id / access-log / tracing / drain semantics — see that module's
-docs for the endpoint list), but served by a single-threaded
-``asyncio.start_server`` loop instead of a thread per connection:
+Same HTTP surface as :mod:`repro.policy.rest` (the one route table of
+:mod:`repro.policy.operations`, whose docstring lists the endpoints; the
+same request-id / access-log / tracing / drain semantics), but served by
+a single-threaded ``asyncio.start_server`` loop instead of a thread per
+connection:
 
 * **Keep-alive + pipelining** — a client may write many requests
   back-to-back on one connection without waiting for responses; the
@@ -38,11 +39,13 @@ import json
 import threading
 import time
 from typing import Optional
-from urllib.parse import unquote
 
-from repro.policy.controller import PolicyController, PolicyRequestError
+from repro.policy.controller import PolicyController
+from repro.policy.operations import PolicyRequestError, respond, route
 from repro.policy.rest import (
     DEFAULT_MAX_REQUEST_BYTES,
+    _BodyReadTimeout,
+    _decode_json,
     _RequestTooLarge,
     _ServerState,
 )
@@ -66,32 +69,6 @@ _REASONS = {
 
 class _BadRequestFraming(Exception):
     """Unparseable request head — the connection cannot continue."""
-
-
-class _BodyReadTimeout(Exception):
-    """The client stalled mid-body past ``read_timeout`` (slow-loris)."""
-
-
-#: POST path -> controller method name, resolved per request so tests
-#: (and operators) may swap controller methods on a live server.
-_POST_ROUTES = {
-    "/policy/transfers": "submit_transfers",
-    "/policy/transfers/complete": "complete_transfers",
-    "/policy/staging": "staging_state",
-    "/policy/cleanups": "submit_cleanups",
-    "/policy/cleanups/complete": "complete_cleanups",
-    "/policy/staged/reconcile": "reconcile_staged",
-    "/policy/priorities": "register_priorities",
-    "/policy/workflows/unregister": "unregister_workflow",
-    "/policy/denials": "deny_host",
-    "/policy/denials/remove": "allow_host",
-    "/policy/quotas": "set_quota",
-    "/policy/tenants": "register_tenant",
-    "/policy/tenants/remove": "unregister_tenant",
-    "/policy/tenants/bind": "bind_workflow",
-    "/policy/catalog/sites": "set_site_capacity",
-    "/policy/catalog/pins": "catalog_pin",
-}
 
 
 class _Head:
@@ -131,14 +108,8 @@ class AsyncPolicyRestServer:
         read_timeout: Optional[float] = 10.0,
         tracer=None,
     ):
-        if max_request_bytes < 1:
-            raise ValueError("max_request_bytes must be >= 1")
         if drain_timeout < 0:
             raise ValueError("drain_timeout must be >= 0")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError("idle_timeout must be > 0 (or None to disable)")
-        if read_timeout is not None and read_timeout <= 0:
-            raise ValueError("read_timeout must be > 0 (or None to disable)")
         self.service = service
         self.controller = PolicyController(service)
         self.drain_timeout = drain_timeout
@@ -155,7 +126,10 @@ class AsyncPolicyRestServer:
         # server the single loop thread already serializes handlers.
         self._service_lock = threading.Lock()
         self._state = _ServerState(
-            max_request_bytes, tracer=tracer if tracer is not None else service.tracer
+            max_request_bytes,
+            tracer=tracer if tracer is not None else service.tracer,
+            idle_timeout=idle_timeout,
+            read_timeout=read_timeout,
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server = None
@@ -415,20 +389,7 @@ class AsyncPolicyRestServer:
         """Read the request body, refusing oversized ones *before* the
         read: the declared size alone disqualifies the request, so the
         body bytes never enter memory."""
-        length_text = head.headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError as exc:
-            raise PolicyRequestError(
-                "Content-Length header must be an integer"
-            ) from exc
-        if length < 0:
-            raise PolicyRequestError("Content-Length header must be >= 0")
-        if length > self._state.max_request_bytes:
-            raise _RequestTooLarge(
-                f"request body of {length} bytes exceeds the "
-                f"{self._state.max_request_bytes}-byte limit"
-            )
+        length = self._state.body_length(head.headers.get("content-length", "0"))
         if not length:
             return b""
         try:
@@ -441,15 +402,12 @@ class AsyncPolicyRestServer:
     async def _discard_get_body(
         self, head: _Head, reader: asyncio.StreamReader
     ) -> bool:
-        """Drain an ignored GET body; returns whether framing survives."""
+        """Drain an ignored GET body; returns whether framing survives.
+        An oversized body is not buffered: answer, then close."""
         try:
-            length = int(head.headers.get("content-length", "0"))
-        except ValueError:
+            length = self._state.body_length(head.headers.get("content-length", "0"))
+        except (PolicyRequestError, _RequestTooLarge):
             return False
-        if length < 0:
-            return False
-        if length > self._state.max_request_bytes:
-            return False  # refuse to buffer it; close after responding
         if length:
             try:
                 await asyncio.wait_for(
@@ -460,63 +418,17 @@ class AsyncPolicyRestServer:
         return True
 
     def _dispatch(self, head: _Head, body: bytes, rid: str, reply, send) -> None:
-        controller = self.controller
-        path = head.path
-        if head.method == "GET":
-            with self._service_lock:
-                if path == "/policy/status":
-                    reply(200, controller.status())
-                elif path == "/policy/metrics":
-                    send(
-                        200, controller.metrics_text().encode(),
-                        "text/plain; version=0.0.4; charset=utf-8",
-                    )
-                elif path == "/policy/tenants":
-                    reply(200, controller.tenants())
-                elif path == "/policy/catalog":
-                    reply(200, controller.catalog())
-                elif path.startswith("/policy/catalog/replicas/"):
-                    lfn = unquote(path.rsplit("/", 1)[-1])
-                    reply(200, controller.catalog_replicas(lfn))
-                elif path.startswith("/policy/transfers/"):
-                    tid_text = path.rsplit("/", 1)[-1]
-                    if not tid_text.isdigit():
-                        raise PolicyRequestError("transfer id must be an integer")
-                    reply(200, controller.transfer_state(int(tid_text)))
-                elif path.startswith("/policy/explain/"):
-                    tid_text = path.rsplit("/", 1)[-1]
-                    if not tid_text.isdigit():
-                        raise PolicyRequestError("transfer id must be an integer")
-                    record = controller.explain(int(tid_text))
-                    if record is None:
-                        reply(404, {
-                            "error": f"no decision record for transfer {tid_text}",
-                            "request_id": rid,
-                        })
-                    else:
-                        reply(200, record)
-                else:
-                    reply(404, {
-                        "error": f"no such endpoint {path!r}", "request_id": rid,
-                    })
+        found = route(head.method, head.path)
+        if found is None:
+            if head.method in ("GET", "POST"):
+                error = f"no such endpoint {head.path!r}"
+            else:
+                error = f"method {head.method} not supported"
+            reply(404, {"error": error, "request_id": rid})
             return
-        if head.method == "POST":
-            name = _POST_ROUTES.get(path)
-            handler = getattr(controller, name) if name else None
-            if handler is None:
-                reply(404, {
-                    "error": f"no such endpoint {path!r}", "request_id": rid,
-                })
-                return
-            try:
-                doc = json.loads(body or b"{}")
-            except json.JSONDecodeError as exc:
-                raise PolicyRequestError(f"invalid JSON body: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise PolicyRequestError("request body must be a JSON object")
-            with self._service_lock:
-                reply(200, handler(doc))
-            return
-        reply(404, {
-            "error": f"method {head.method} not supported", "request_id": rid,
-        })
+        op, request = found
+        if op.method == "POST":
+            request = (_decode_json(body),)
+        with self._service_lock:
+            result = getattr(self.controller, op.name)(*request)
+            send(*respond(op, result, head.path, rid))

@@ -37,7 +37,9 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.net.gridftp import parse_url
 from repro.obs.metrics import MetricsRegistry
@@ -45,6 +47,7 @@ from repro.obs.tracer import as_tracer
 
 from repro.policy.client import CircuitBreaker
 from repro.policy.model import CleanupAdvice, PolicyConfig, TransferAdvice
+from repro.policy.operations import OPERATIONS, install, signature
 from repro.policy.provenance import (
     DecisionLog,
     degraded_cleanup_record,
@@ -76,25 +79,11 @@ class _FleetMemoryView:
         self._router = router
 
     def __len__(self) -> int:
-        total = 0
-        for handle in self._router.shards:
-            if not handle.healthy():
-                continue
-            try:
-                total += handle.call("memory_len")
-            except ShardUnavailableError:
-                pass
-        return total
+        return sum(self._router._gather("memory_len"))
 
     def snapshot(self) -> dict:
         census: dict[str, int] = {}
-        for handle in self._router.shards:
-            if not handle.healthy():
-                continue
-            try:
-                part = handle.call("memory_census")
-            except ShardUnavailableError:
-                continue
+        for part in self._router._gather("memory_census"):
             for kind, count in part.items():
                 census[kind] = census.get(kind, 0) + count
         return dict(sorted(census.items()))
@@ -800,46 +789,36 @@ class ShardedPolicyService:
         log is disabled.
         """
 
-        self._maybe_reap()
-        self._m_requests.inc(call="explain")
-        tid = int(tid)
-        if self._decisions is not None:
-            synthetic = self._decisions.transfer(tid)
-            if synthetic is not None:
-                return dict(synthetic)
-        shard_idx = self._tid_shard.get(tid)
-        if shard_idx is None:
-            return None
-        try:
-            record = self.shards[shard_idx].call("explain", tid)
-        except ShardUnavailableError:
-            self._m_degraded.inc(kind="queries")
-            return None
-        if record is None:
-            return None
-        return self._canonical_record(record)
+        return self._home_record(
+            "explain", int(tid), self._tid_shard, DecisionLog.transfer
+        )
 
     def explain_cleanup(self, cid: int) -> Optional[dict]:
         """The decision record for cleanup ``cid`` (see :meth:`explain`)."""
 
+        return self._home_record(
+            "explain_cleanup", int(cid), self._cid_home, DecisionLog.cleanup
+        )
+
+    def _home_record(self, call: str, key: int, homes, synthetic) -> Optional[dict]:
+        """A decision record: the router's synthetic one, else the home
+        shard's in canonical numbering (None if unknown or unavailable)."""
+
         self._maybe_reap()
-        self._m_requests.inc(call="explain_cleanup")
-        cid = int(cid)
+        self._m_requests.inc(call=call)
         if self._decisions is not None:
-            synthetic = self._decisions.cleanup(cid)
-            if synthetic is not None:
-                return dict(synthetic)
-        shard_idx = self._cid_home.get(cid)
+            record = synthetic(self._decisions, key)
+            if record is not None:
+                return dict(record)
+        shard_idx = homes.get(key)
         if shard_idx is None:
             return None
         try:
-            record = self.shards[shard_idx].call("explain_cleanup", cid)
+            record = self.shards[shard_idx].call(call, key)
         except ShardUnavailableError:
             self._m_degraded.inc(kind="queries")
             return None
-        if record is None:
-            return None
-        return self._canonical_record(record)
+        return None if record is None else self._canonical_record(record)
 
     def decision_records(self) -> list[dict]:
         """Fleet decision log: every live shard's records plus synthetics.
@@ -851,15 +830,11 @@ class ShardedPolicyService:
         """
 
         self._m_requests.inc(call="decision_records")
-        records: list[dict] = []
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                part = handle.call("decision_records")
-            except ShardUnavailableError:
-                continue
-            records.extend(self._canonical_record(r) for r in part)
+        records = [
+            self._canonical_record(r)
+            for part in self._gather("decision_records")
+            for r in part
+        ]
         if self._decisions is not None:
             records.extend(dict(r) for r in self._decisions.records())
         transfers = [r for r in records if r.get("kind") == "transfer"]
@@ -911,134 +886,42 @@ class ShardedPolicyService:
         return {"registered": registered, "joined": joined}
 
     # ------------------------------------------------------------------ admin
-    def _broadcast(self, name: str, *args, **kwargs):
+    def _broadcast(self, name: str, *args, **kwargs) -> list:
         """Apply an admin mutation on every shard; buffer for dead ones.
 
-        Returns the first live shard's result.  Domain errors (not
-        availability) propagate from the first shard that raises them.
+        Returns the live shards' results in shard order.  Domain errors
+        (not availability) propagate from the first shard that raises them.
         """
 
         self._m_requests.inc(call=name)
-        result = None
-        got_result = False
+        results = []
         for handle in self.shards:
             try:
-                value = handle.call(name, *args, **kwargs)
+                results.append(handle.call(name, *args, **kwargs))
             except ShardUnavailableError:
                 self._queue_pending(handle.index, name, *args, **kwargs)
-                continue
-            if not got_result:
-                result = value
-                got_result = True
-        return result
+        return results
 
-    def deny_host(self, host: str, direction: str = "any", reason: str = "") -> None:
-        self._broadcast("deny_host", host, direction, reason)
+    def _gather(self, name: str, *args, **kwargs) -> list:
+        """Every healthy shard's answer to a read; down shards are skipped."""
 
-    def allow_host(self, host: str) -> int:
-        return self._broadcast("allow_host", host) or 0
-
-    def set_quota(self, workflow: str, max_bytes: float) -> None:
-        self._broadcast("set_quota", workflow, max_bytes)
-
-    def register_tenant(self, tenant: str, **kwargs) -> None:
-        self._broadcast("register_tenant", tenant, **kwargs)
-
-    def unregister_tenant(self, tenant: str) -> int:
-        return self._broadcast("unregister_tenant", tenant) or 0
-
-    def bind_workflow(self, workflow: str, tenant: str) -> None:
-        self._broadcast("bind_workflow", workflow, tenant)
-
-    def register_priorities(self, workflow: str, priorities: dict) -> int:
-        return self._broadcast("register_priorities", workflow, priorities) or 0
-
-    def tenants(self) -> list[dict]:
-        """Fleet tenant census: registration from any shard, ledgers summed."""
-
-        merged: dict[str, dict] = {}
+        results = []
         for handle in self.shards:
             if not handle.healthy():
                 continue
             try:
-                census = handle.call("tenants")
+                results.append(handle.call(name, *args, **kwargs))
             except ShardUnavailableError:
                 continue
-            for row in census:
-                entry = merged.get(row["tenant"])
-                if entry is None:
-                    merged[row["tenant"]] = dict(row)
-                else:
-                    entry["inflight_streams"] += row["inflight_streams"]
-                    entry["bytes_staged"] += row["bytes_staged"]
-                    entry["workflows"] = sorted(
-                        set(entry["workflows"]) | set(row["workflows"])
-                    )
-        return [merged[tenant] for tenant in sorted(merged)]
+        return results
 
     # ------------------------------------------------------------ data catalog
-    def catalog_census(self) -> dict:
-        """Fleet staged-data catalog census from every live shard.
-
-        Replicas merge and re-sort by (lfn, site, url) so the census is
-        shard-count-independent; site rows sum ``used_bytes`` across
-        shards.  Each shard enforces its byte budget only over the
-        replicas it owns (the same per-shard partitioning as tenant
-        ledgers), so fleet-wide budgets are approximate: a site's summed
-        usage can exceed one shard's capacity without any shard evicting.
-        Down shards contribute nothing until they replay their journals.
-        """
-
-        self._m_requests.inc(call="catalog_census")
-        replicas: list[dict] = []
-        sites: dict[str, dict] = {}
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                census = handle.call("catalog_census")
-            except ShardUnavailableError:
-                continue
-            replicas.extend(census.get("replicas", []))
-            for row in census.get("sites", []):
-                entry = sites.get(row["site"])
-                if entry is None:
-                    sites[row["site"]] = dict(row)
-                else:
-                    entry["used_bytes"] += row["used_bytes"]
-        replicas.sort(key=lambda r: (r["lfn"], r["site"], r["url"]))
-        return {"replicas": replicas, "sites": [sites[s] for s in sorted(sites)]}
-
-    def catalog_replicas(self, lfn: str) -> list[dict]:
-        """Known replicas of ``lfn`` across live shards, by (site, url)."""
-
-        self._m_requests.inc(call="catalog_replicas")
-        replicas: list[dict] = []
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                replicas.extend(handle.call("catalog_replicas", lfn))
-            except ShardUnavailableError:
-                continue
-        replicas.sort(key=lambda r: (r["site"], r["url"]))
-        return replicas
-
     def set_site_capacity(self, site: str, capacity_bytes) -> dict:
         """Set one site's byte budget on every shard (buffered for dead
         ones); the returned ``used_bytes`` sums live shards."""
 
-        self._m_requests.inc(call="set_site_capacity")
-        used = 0.0
-        for handle in self.shards:
-            try:
-                result = handle.call("set_site_capacity", site, capacity_bytes)
-            except ShardUnavailableError:
-                self._queue_pending(
-                    handle.index, "set_site_capacity", site, capacity_bytes
-                )
-                continue
-            used += result.get("used_bytes", 0.0)
+        results = self._broadcast("set_site_capacity", site, capacity_bytes)
+        used = sum((r.get("used_bytes", 0.0) for r in results), 0.0)
         return {"site": site, "capacity_bytes": capacity_bytes, "used_bytes": used}
 
     def catalog_pin(self, url: str, pinned: bool = True) -> dict:
@@ -1172,13 +1055,7 @@ class ShardedPolicyService:
         """Summed per-shard stats under the single-service keys."""
 
         totals: dict = {}
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                part = handle.call("stats")
-            except ShardUnavailableError:
-                continue
+        for part in self._gather("stats"):
             for key, value in part.items():
                 totals[key] = totals.get(key, 0) + value
         return totals
@@ -1209,7 +1086,7 @@ class ShardedPolicyService:
             "shard_health": self.shard_health(),
             "memory": census,
             "host_pairs": pairs,
-            "tenants": self.tenants(),
+            "tenants": _merge_tenants(self._gather("tenants")),
             "stats": dict(self.stats),
             "counters": self.counters(),
             "pending_ops": {
@@ -1293,6 +1170,93 @@ class ShardedPolicyService:
             close = getattr(handle.backend, "close", None)
             if close is not None:
                 close()
+
+    if TYPE_CHECKING:  # broadcast and fan-out operations are installed below
+        def __getattr__(self, name: str) -> Any: ...
+
+
+# -------------------------------------------------------------- merges
+def _merge_tenants(results: list) -> list[dict]:
+    """Fleet tenant census: registration from any shard, ledgers summed."""
+    merged: dict[str, dict] = {}
+    for census in results:
+        for row in census:
+            entry = merged.get(row["tenant"])
+            if entry is None:
+                merged[row["tenant"]] = dict(row)
+            else:
+                entry["inflight_streams"] += row["inflight_streams"]
+                entry["bytes_staged"] += row["bytes_staged"]
+                entry["workflows"] = sorted(
+                    set(entry["workflows"]) | set(row["workflows"])
+                )
+    return [merged[tenant] for tenant in sorted(merged)]
+
+
+def _merge_census(results: list) -> dict:
+    """Fleet staged-data catalog census.
+
+    Replicas merge and re-sort by (lfn, site, url) so the census is
+    shard-count-independent; site rows sum ``used_bytes`` across shards.
+    Each shard enforces its byte budget only over the replicas it owns
+    (the same per-shard partitioning as tenant ledgers), so fleet-wide
+    budgets are approximate: a site's summed usage can exceed one
+    shard's capacity without any shard evicting.
+    """
+    replicas: list[dict] = []
+    sites: dict[str, dict] = {}
+    for census in results:
+        replicas.extend(census.get("replicas", []))
+        for row in census.get("sites", []):
+            entry = sites.get(row["site"])
+            if entry is None:
+                sites[row["site"]] = dict(row)
+            else:
+                entry["used_bytes"] += row["used_bytes"]
+    replicas.sort(key=lambda r: (r["lfn"], r["site"], r["url"]))
+    return {"replicas": replicas, "sites": [sites[s] for s in sorted(sites)]}
+
+
+def _merge_replicas(results: list) -> list[dict]:
+    """One dataset's replicas across shards, by (site, url)."""
+    replicas = [replica for part in results for replica in part]
+    replicas.sort(key=lambda r: (r["site"], r["url"]))
+    return replicas
+
+
+#: The merges the operation table names.  A broadcast answers with the
+#: first live shard's result (None, or 0 for a count, when none lived);
+#: a fan-out read merges every live shard's answer.
+_MERGES: dict[str, Callable[[list], object]] = {
+    "first": lambda results: results[0] if results else None,
+    "count": lambda results: results[0] if results else 0,
+    "tenants": _merge_tenants,
+    "census": _merge_census,
+    "replicas": _merge_replicas,
+}
+
+
+def _broadcast_method(name: str, merge: Callable[[list], object]):
+    def method(self: ShardedPolicyService, *args, **kwargs):
+        return merge(self._broadcast(name, *args, **kwargs))
+
+    return method
+
+
+def _fanout_method(name: str, merge: Callable[[list], object]):
+    def method(self: ShardedPolicyService, *args, **kwargs):
+        self._m_requests.inc(call=name)
+        return merge(self._gather(name, *args, **kwargs))
+
+    return method
+
+
+_SPREADS = {"broadcast": _broadcast_method, "fanout": _fanout_method}
+
+for _op in OPERATIONS:
+    if _op.shard in _SPREADS:
+        _method = _SPREADS[_op.shard](_op.service, _MERGES[_op.merge])
+        install(ShardedPolicyService, _op, _method, signature(_op), _op.service)
 
 
 def _inject_label(sample_line: str, shard: int) -> str:
